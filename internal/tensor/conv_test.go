@@ -153,3 +153,109 @@ func TestIm2ColPanicsOnBadSizes(t *testing.T) {
 	}()
 	Im2Col(make([]float64, 3), make([]float64, 16), g)
 }
+
+// chunkGeoms covers stride 1/2/4, pad 0/1/2, 1x1/3x3/5x5 kernels, maps
+// small enough that a chunk holds several images, and every lowering path:
+// gather (maps under 64 pixels), shifted copy (stride-1 same-size maps of
+// 64 pixels or more) and row by row (the rest, including a small map whose
+// input plane is too large for the gather scratch).
+var chunkGeoms = []ConvGeom{
+	{InC: 2, InH: 20, InW: 20, KH: 3, KW: 3, Stride: 2, Pad: 1},
+	{InC: 2, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 0},
+	{InC: 1, InH: 9, InW: 9, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	{InC: 1, InH: 20, InW: 20, KH: 5, KW: 5, Stride: 4, Pad: 2},
+	{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 2, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
+	{InC: 4, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 2, Pad: 1},
+	{InC: 3, InH: 6, InW: 6, KH: 1, KW: 1, Stride: 2, Pad: 0},
+	{InC: 2, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 0},
+	{InC: 1, InH: 1, InW: 1, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	{InC: 2, InH: 3, InW: 3, KH: 5, KW: 5, Stride: 2, Pad: 2},
+}
+
+// TestIm2ColChunkIsTransposedIm2Col checks the chunk lowering against the
+// per-image Im2Col: column (image i, pixel p) of row k must equal
+// Im2Col(image i)[p][k], padding zeros included.
+func TestIm2ColChunkIsTransposedIm2Col(t *testing.T) {
+	g := rng.New(31)
+	for _, geom := range chunkGeoms {
+		inFeat := geom.InC * geom.InH * geom.InW
+		hw, kk := geom.ColRows(), geom.ColCols()
+		for _, nb := range []int{1, 3, geom.ChunkImages()} {
+			imgs := make([]float64, nb*inFeat)
+			g.FillNormal(imgs, 1)
+			cols := nb * hw
+			dst := make([]float64, kk*cols)
+			for i := range dst {
+				dst[i] = math.NaN() // every element must be written
+			}
+			Im2ColChunk(dst, imgs, geom)
+			one := make([]float64, hw*kk)
+			for i := 0; i < nb; i++ {
+				Im2Col(one, imgs[i*inFeat:(i+1)*inFeat], geom)
+				for p := 0; p < hw; p++ {
+					for k := 0; k < kk; k++ {
+						got, want := dst[k*cols+i*hw+p], one[p*kk+k]
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%+v nb=%d: row %d col %d = %v, want %v", geom, nb, k, i*hw+p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCol2ImChunkMatchesCol2ImBitForBit scatters the same column gradient
+// through Col2ImChunk and, transposed, through the per-image Col2Im into
+// the same non-zero starting gradient. The sums must round identically:
+// Col2ImChunk visits taps in descending (ky, kx), which is Col2Im's
+// ascending (oy, ox).
+func TestCol2ImChunkMatchesCol2ImBitForBit(t *testing.T) {
+	g := rng.New(32)
+	for _, geom := range chunkGeoms {
+		inFeat := geom.InC * geom.InH * geom.InW
+		hw, kk := geom.ColRows(), geom.ColCols()
+		for _, nb := range []int{1, 3, geom.ChunkImages()} {
+			cols := nb * hw
+			col := make([]float64, kk*cols)
+			g.FillNormal(col, 1)
+			got := make([]float64, nb*inFeat)
+			g.FillNormal(got, 1e-3)
+			want := append([]float64(nil), got...)
+			Col2ImChunk(got, col, geom)
+			one := make([]float64, hw*kk)
+			for i := 0; i < nb; i++ {
+				for p := 0; p < hw; p++ {
+					for k := 0; k < kk; k++ {
+						one[p*kk+k] = col[k*cols+i*hw+p]
+					}
+				}
+				Col2Im(want[i*inFeat:(i+1)*inFeat], one, geom)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%+v nb=%d: dx[%d] = %v, want %v", geom, nb, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestChunkImages(t *testing.T) {
+	for _, tc := range []struct {
+		in, stride, want int
+	}{
+		{8, 1, 1},  // 64 pixels
+		{8, 2, 2},  // 16 pixels
+		{4, 2, 8},  // 4 pixels
+		{12, 1, 1}, // 144 pixels
+		{12, 2, 1}, // 36 pixels
+		{6, 2, 4},  // 9 pixels
+	} {
+		g := ConvGeom{InC: 1, InH: tc.in, InW: tc.in, KH: 3, KW: 3, Stride: tc.stride, Pad: 1}
+		if got := g.ChunkImages(); got != tc.want {
+			t.Errorf("%dx%d stride %d: ChunkImages %d, want %d", tc.in, tc.in, tc.stride, got, tc.want)
+		}
+	}
+}

@@ -49,6 +49,11 @@ const parallelRowThreshold = 64 * 64 * 64
 // chain. That is the invariant behind the backend-equivalence and
 // resume-fingerprint suites; do not reorder k.
 //
+// Every product is written float64(a*b). The Go spec then forbids fusing
+// it with the addition; arm64 otherwise compiles `x += a*b` to one FMADDD,
+// which rounds once instead of twice and gives other bits than amd64. CI
+// rejects any fused multiply-add in this package.
+//
 // The pre-tiling kernels skipped zero a-elements; the tiled ones do not
 // (see the sparsity note on mmBlock). On finite data the two are
 // bit-identical: the dropped/added terms are av*bv with av == ±0, whose
@@ -201,10 +206,10 @@ func mmBlock(out, a []float64, lo, hi, astride, ostride, p0, kw int, bp []float6
 			av0, av1, av2, av3 := a0[pp], a1[pp], a2[pp], a3[pp]
 			brow := bp[pp*bstride : pp*bstride+jw]
 			for j, bv := range brow {
-				o0[j] += av0 * bv
-				o1[j] += av1 * bv
-				o2[j] += av2 * bv
-				o3[j] += av3 * bv
+				o0[j] += float64(av0 * bv)
+				o1[j] += float64(av1 * bv)
+				o2[j] += float64(av2 * bv)
+				o3[j] += float64(av3 * bv)
 			}
 		}
 	}
@@ -214,7 +219,7 @@ func mmBlock(out, a []float64, lo, hi, astride, ostride, p0, kw int, bp []float6
 		for pp, av := range arow {
 			brow := bp[pp*bstride : pp*bstride+jw]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -272,10 +277,10 @@ func matMulTransA(out, a, b *Tensor) {
 					o2 := out.Data[base+2*n+j0 : base+2*n+j0+jw]
 					o3 := out.Data[base+3*n+j0 : base+3*n+j0+jw]
 					for j, bv := range brow {
-						o0[j] += av0 * bv
-						o1[j] += av1 * bv
-						o2[j] += av2 * bv
-						o3[j] += av3 * bv
+						o0[j] += float64(av0 * bv)
+						o1[j] += float64(av1 * bv)
+						o2[j] += float64(av2 * bv)
+						o3[j] += float64(av3 * bv)
 					}
 				}
 				for ; ii < ib; ii++ {
@@ -283,7 +288,7 @@ func matMulTransA(out, a, b *Tensor) {
 					base := (i0 + ii) * n
 					orow := out.Data[base+j0 : base+j0+jw]
 					for j, bv := range brow {
-						orow[j] += av * bv
+						orow[j] += float64(av * bv)
 					}
 				}
 			}
@@ -343,10 +348,10 @@ func matMulTransB(out, a, b *Tensor) {
 				for p, av0 := range ar0 {
 					av1 := ar1[p]
 					bv0, bv1 := br0[p], br1[p]
-					s00 += av0 * bv0
-					s01 += av0 * bv1
-					s10 += av1 * bv0
-					s11 += av1 * bv1
+					s00 += float64(av0 * bv0)
+					s01 += float64(av0 * bv1)
+					s10 += float64(av1 * bv0)
+					s11 += float64(av1 * bv1)
 				}
 				or0[j], or0[j+1] = s00, s01
 				or1[j], or1[j+1] = s10, s11
@@ -355,10 +360,10 @@ func matMulTransB(out, a, b *Tensor) {
 				brow := b.Data[j*k : j*k+k]
 				var s0, s1 float64
 				for p, av := range ar0 {
-					s0 += av * brow[p]
+					s0 += float64(av * brow[p])
 				}
 				for p, av := range ar1 {
-					s1 += av * brow[p]
+					s1 += float64(av * brow[p])
 				}
 				or0[j], or1[j] = s0, s1
 			}
@@ -370,7 +375,7 @@ func matMulTransB(out, a, b *Tensor) {
 				brow := b.Data[j*k : (j+1)*k]
 				s := 0.0
 				for p, av := range arow {
-					s += av * brow[p]
+					s += float64(av * brow[p])
 				}
 				orow[j] = s
 			}

@@ -150,3 +150,94 @@ func BenchmarkCol2Im(b *testing.B) {
 		Col2Im(dst, col, g)
 	}
 }
+
+// chunkBenchGeoms are the conv layers of the quick profiles whose chunk
+// lowering differs most: full-map stems (one image per chunk) and the
+// deepest stages (many images per chunk).
+var chunkBenchGeoms = []struct {
+	name string
+	g    ConvGeom
+	outC int
+}{
+	{"cifarq_stem_8x8", ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6},
+	{"cifarq_s2c2_2x2", ConvGeom{InC: 24, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}, 24},
+	{"imagenetq_s0_12x12", ConvGeom{InC: 8, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8},
+	{"imagenetq_s2c2_3x3", ConvGeom{InC: 32, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}, 32},
+}
+
+// BenchmarkIm2ColChunk and BenchmarkCol2ImChunk time one chunk's lowering
+// and its adjoint; bytes are the lowered matrix's.
+func BenchmarkIm2ColChunk(b *testing.B) {
+	for _, s := range chunkBenchGeoms {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(7)
+			nb := s.g.ChunkImages()
+			imgs := make([]float64, nb*s.g.InC*s.g.InH*s.g.InW)
+			r.FillNormal(imgs, 1)
+			dst := make([]float64, s.g.ColCols()*nb*s.g.ColRows())
+			b.SetBytes(int64(8 * len(dst)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Im2ColChunk(dst, imgs, s.g)
+			}
+		})
+	}
+}
+
+func BenchmarkCol2ImChunk(b *testing.B) {
+	for _, s := range chunkBenchGeoms {
+		b.Run(s.name, func(b *testing.B) {
+			r := rng.New(7)
+			nb := s.g.ChunkImages()
+			col := make([]float64, s.g.ColCols()*nb*s.g.ColRows())
+			r.FillNormal(col, 1)
+			dst := make([]float64, nb*s.g.InC*s.g.InH*s.g.InW)
+			b.SetBytes(int64(8 * len(col)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Col2ImChunk(dst, col, s.g)
+			}
+		})
+	}
+}
+
+// BenchmarkGemmChunk times the three products of one conv chunk — forward
+// [OutC, K]·[K, cols] with W read transposed, input gradient
+// [K, OutC]·[OutC, cols], and one image's weight gradient
+// [K, hw]·[hw, OutC] — on the dispatched kernel and on the pure-Go one.
+// Bytes are multiply-adds × 8, as in BenchmarkMatMul.
+func BenchmarkGemmChunk(b *testing.B) {
+	for _, s := range chunkBenchGeoms {
+		hw, kk, oc := s.g.ColRows(), s.g.ColCols(), s.outC
+		cols := s.g.ChunkImages() * hw
+		r := rng.New(7)
+		w := make([]float64, kk*oc)
+		col := make([]float64, kk*cols)
+		prod := make([]float64, oc*cols)
+		dW := make([]float64, kk*oc)
+		r.FillNormal(w, 1)
+		r.FillNormal(col, 1)
+		r.FillNormal(prod, 1)
+		for _, kern := range []struct {
+			name string
+			f    func(m, n, k int, a []float64, ars, aps int, b []float64, ldb int, c []float64, ldc int)
+		}{{"dispatch", Gemm}, {"generic", gemmGeneric}} {
+			for _, p := range []struct {
+				name string
+				run  func()
+				macs int
+			}{
+				{"fwd", func() { kern.f(oc, cols, kk, w, 1, oc, col, cols, prod, cols) }, oc * cols * kk},
+				{"dx", func() { kern.f(kk, cols, oc, w, oc, 1, prod, cols, col, cols) }, kk * cols * oc},
+				{"dw", func() { kern.f(kk, oc, hw, col, cols, 1, prod, oc, dW, oc) }, kk * oc * hw},
+			} {
+				b.Run(s.name+"/"+p.name+"/"+kern.name, func(b *testing.B) {
+					b.SetBytes(int64(8 * p.macs))
+					for i := 0; i < b.N; i++ {
+						p.run()
+					}
+				})
+			}
+		}
+	}
+}

@@ -42,7 +42,7 @@ func Scale(dst, a *Tensor, s float64) {
 func AXPY(dst *Tensor, alpha float64, x *Tensor) {
 	checkSameLen("AXPY", dst, x)
 	for i := range dst.Data {
-		dst.Data[i] += alpha * x.Data[i]
+		dst.Data[i] += float64(alpha * x.Data[i])
 	}
 }
 

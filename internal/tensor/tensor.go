@@ -178,7 +178,7 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 	}
 	s := 0.0
 	for i, v := range t.Data {
-		s += v * u.Data[i]
+		s += float64(v * u.Data[i])
 	}
 	return s
 }
