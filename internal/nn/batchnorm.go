@@ -41,6 +41,10 @@ type BatchNorm struct {
 	xhat    *tensor.Tensor
 	invStd  []float64
 	out, dx *tensor.Tensor
+
+	// Per-channel scratch for the kernels: the backward pass's Σdy, Σdy·x̂
+	// and dx scale; inference borrows scale for its inverse deviations.
+	sumDy, sumDyXhat, scale []float64
 }
 
 // NewBatchNorm builds a BN layer for c channels with the given spatial size
@@ -57,6 +61,9 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 		batchMean:   make([]float64, c),
 		batchVar:    make([]float64, c),
 		invStd:      make([]float64, c),
+		sumDy:       make([]float64, c),
+		sumDyXhat:   make([]float64, c),
+		scale:       make([]float64, c),
 	}
 	bn.Gamma.Value.Fill(1)
 	for i := range bn.RunningVar {
@@ -68,6 +75,10 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 // Forward normalizes x ([N, C*Spatial]). In training mode it uses batch
 // statistics and updates the running EMA; in inference mode it uses the
 // running statistics.
+//
+// Each channel's sums start from +0 and take the channel's elements in
+// (sample, position) order; the elementwise passes run on the tensor
+// batch-norm kernels, which keep the per-element operation order.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	feat := bn.C * bn.Spatial
 	if x.Rank() != 2 || x.Shape[1] != feat {
@@ -75,91 +86,48 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	n := x.Shape[0]
 	out := reuse2(&bn.out, n, feat)
-	if train {
-		bn.x = x
-		bn.xhat = reuse2(&bn.xhat, n, feat)
-		m := float64(n * bn.Spatial)
-		for c := 0; c < bn.C; c++ {
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					sum += x.Data[base+s]
-				}
-			}
-			mean := sum / m
-			vsum := 0.0
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					d := x.Data[base+s] - mean
-					vsum += d * d
-				}
-			}
-			variance := vsum / m
-			bn.batchMean[c] = mean
-			bn.batchVar[c] = variance
-			bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*mean
-			bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance
-			inv := 1 / math.Sqrt(variance+BNEpsilon)
-			bn.invStd[c] = inv
-			g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					xh := (x.Data[base+s] - mean) * inv
-					bn.xhat.Data[base+s] = xh
-					out.Data[base+s] = g*xh + b
-				}
-			}
+	gamma, beta := bn.Gamma.Value.Data, bn.Beta.Value.Data
+	if !train {
+		for c, v := range bn.RunningVar {
+			bn.scale[c] = 1 / math.Sqrt(v+BNEpsilon)
 		}
+		tensor.BatchNormEval(out.Data, x.Data, bn.Spatial, bn.RunningMean, bn.scale, gamma, beta)
 		return out
 	}
-	for c := 0; c < bn.C; c++ {
-		inv := 1 / math.Sqrt(bn.RunningVar[c]+BNEpsilon)
-		g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
-		mean := bn.RunningMean[c]
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				out.Data[base+s] = g*(x.Data[base+s]-mean)*inv + b
-			}
-		}
+	bn.x = x
+	bn.xhat = reuse2(&bn.xhat, n, feat)
+	m := float64(n * bn.Spatial)
+	mean, variance := bn.batchMean, bn.batchVar
+	channelSums(mean, nil, x.Data, nil, bn.Spatial)
+	for c := range mean {
+		mean[c] /= m
 	}
+	channelSqDevSums(variance, x.Data, mean, bn.Spatial)
+	mom := bn.Momentum
+	for c := range variance {
+		variance[c] /= m
+		bn.RunningMean[c] = float64((1-mom)*bn.RunningMean[c]) + float64(mom*mean[c])
+		bn.RunningVar[c] = float64((1-mom)*bn.RunningVar[c]) + float64(mom*variance[c])
+		bn.invStd[c] = 1 / math.Sqrt(variance[c]+BNEpsilon)
+	}
+	tensor.BatchNormTrain(out.Data, bn.xhat.Data, x.Data, bn.Spatial, mean, bn.invStd, gamma, beta)
 	return out
 }
 
-// Backward implements the standard batch-norm gradient.
+// Backward implements the standard batch-norm gradient:
+// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂)), with Σdy and Σ(dy·x̂) also
+// accumulated into β's and γ's gradients.
 func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := bn.x.Shape[0]
-	feat := bn.C * bn.Spatial
-	dx := reuse2(&bn.dx, n, feat) // every element is assigned below
+	dx := reuse2(&bn.dx, n, bn.C*bn.Spatial) // every element is assigned below
 	m := float64(n * bn.Spatial)
-	for c := 0; c < bn.C; c++ {
-		g := bn.Gamma.Value.Data[c]
-		inv := bn.invStd[c]
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				dy := grad.Data[base+s]
-				sumDy += dy
-				sumDyXhat += dy * bn.xhat.Data[base+s]
-			}
-		}
-		bn.Beta.Grad.Data[c] += sumDy
-		bn.Gamma.Grad.Data[c] += sumDyXhat
-		// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-		k := g * inv / m
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				dy := grad.Data[base+s]
-				xh := bn.xhat.Data[base+s]
-				dx.Data[base+s] = k * (m*dy - sumDy - xh*sumDyXhat)
-			}
-		}
+	channelSums(bn.sumDy, bn.sumDyXhat, grad.Data, bn.xhat.Data, bn.Spatial)
+	for c, g := range bn.Gamma.Value.Data {
+		bn.Beta.Grad.Data[c] += bn.sumDy[c]
+		bn.Gamma.Grad.Data[c] += bn.sumDyXhat[c]
+		bn.scale[c] = g * bn.invStd[c] / m
 	}
+	tensor.BatchNormBackward(dx.Data, grad.Data, bn.xhat.Data, bn.Spatial, m, bn.scale, bn.sumDy, bn.sumDyXhat)
 	return dx
 }
 
@@ -204,4 +172,84 @@ func (bn *BatchNorm) SetRunning(mean, variance []float64) {
 // Running returns copies of the current running statistics.
 func (bn *BatchNorm) Running() (mean, variance []float64) {
 	return append([]float64(nil), bn.RunningMean...), append([]float64(nil), bn.RunningVar...)
+}
+
+// The per-channel reductions below walk data laid out [N][C][spatial] with
+// C = len(sum). Each channel's sum is one chain: it starts at +0 and adds
+// the channel's elements in (sample, position) order, exactly the naive
+// loop. Channels are independent, so they run four at a time, interleaved
+// — four chains in flight instead of one, none of them reassociated. A
+// group past the last channel repeats it, recomputing its sum with
+// identical bits.
+
+// channelGroup returns the four channels of the group starting at c.
+func channelGroup(c, nc int) [4]int {
+	return [4]int{c, min(c+1, nc-1), min(c+2, nc-1), min(c+3, nc-1)}
+}
+
+// channelSums sets sum[c] = Σ x over channel c's elements and, when dot is
+// non-nil, dot[c] = Σ x·y.
+func channelSums(sum, dot, x, y []float64, spatial int) {
+	feat := len(sum) * spatial
+	for c := 0; c < len(sum); c += 4 {
+		ch := channelGroup(c, len(sum))
+		var s0, s1, s2, s3, d0, d1, d2, d3 float64
+		for base := 0; base < len(x); base += feat {
+			x0 := x[base+ch[0]*spatial : base+(ch[0]+1)*spatial]
+			x1 := x[base+ch[1]*spatial : base+(ch[1]+1)*spatial][:len(x0)]
+			x2 := x[base+ch[2]*spatial : base+(ch[2]+1)*spatial][:len(x0)]
+			x3 := x[base+ch[3]*spatial : base+(ch[3]+1)*spatial][:len(x0)]
+			if dot == nil {
+				for j, v := range x0 {
+					s0 += v
+					s1 += x1[j]
+					s2 += x2[j]
+					s3 += x3[j]
+				}
+				continue
+			}
+			y0 := y[base+ch[0]*spatial : base+(ch[0]+1)*spatial][:len(x0)]
+			y1 := y[base+ch[1]*spatial : base+(ch[1]+1)*spatial][:len(x0)]
+			y2 := y[base+ch[2]*spatial : base+(ch[2]+1)*spatial][:len(x0)]
+			y3 := y[base+ch[3]*spatial : base+(ch[3]+1)*spatial][:len(x0)]
+			for j, v := range x0 {
+				s0 += v
+				d0 += float64(v * y0[j])
+				s1 += x1[j]
+				d1 += float64(x1[j] * y1[j])
+				s2 += x2[j]
+				d2 += float64(x2[j] * y2[j])
+				s3 += x3[j]
+				d3 += float64(x3[j] * y3[j])
+			}
+		}
+		sum[ch[0]], sum[ch[1]], sum[ch[2]], sum[ch[3]] = s0, s1, s2, s3
+		if dot != nil {
+			dot[ch[0]], dot[ch[1]], dot[ch[2]], dot[ch[3]] = d0, d1, d2, d3
+		}
+	}
+}
+
+// channelSqDevSums sets sum[c] = Σ (x − mean[c])² over channel c's elements.
+func channelSqDevSums(sum, x, mean []float64, spatial int) {
+	feat := len(sum) * spatial
+	for c := 0; c < len(sum); c += 4 {
+		ch := channelGroup(c, len(sum))
+		m0, m1, m2, m3 := mean[ch[0]], mean[ch[1]], mean[ch[2]], mean[ch[3]]
+		var s0, s1, s2, s3 float64
+		for base := 0; base < len(x); base += feat {
+			x0 := x[base+ch[0]*spatial : base+(ch[0]+1)*spatial]
+			x1 := x[base+ch[1]*spatial : base+(ch[1]+1)*spatial][:len(x0)]
+			x2 := x[base+ch[2]*spatial : base+(ch[2]+1)*spatial][:len(x0)]
+			x3 := x[base+ch[3]*spatial : base+(ch[3]+1)*spatial][:len(x0)]
+			for j, v := range x0 {
+				d0, d1, d2, d3 := v-m0, x1[j]-m1, x2[j]-m2, x3[j]-m3
+				s0 += float64(d0 * d0)
+				s1 += float64(d1 * d1)
+				s2 += float64(d2 * d2)
+				s3 += float64(d3 * d3)
+			}
+		}
+		sum[ch[0]], sum[ch[1]], sum[ch[2]], sum[ch[3]] = s0, s1, s2, s3
+	}
 }

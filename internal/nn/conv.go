@@ -77,15 +77,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		tensor.Im2ColChunk(col, x.Data[i0*inFeat:(i0+nb)*inFeat], g)
 		// prod[oc][j] = Σ_k W[k][oc]·col[k][j]: W read transposed.
 		tensor.Gemm(c.OutC, cols, kk, c.W.Value.Data, 1, c.OutC, col, cols, prod, cols)
-		for i := 0; i < nb; i++ {
-			dst := out.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
-			for oc, bv := range bias {
-				src := prod[oc*cols+i*hw : oc*cols+(i+1)*hw]
-				row := dst[oc*hw : (oc+1)*hw]
-				for p, v := range src {
-					row[p] = v + bv
-				}
-			}
+		for i := 0; i < nb; i++ { // image i's maps: prod rows, columns i*hw onward
+			tensor.AddBias(out.Data[(i0+i)*outFeat:(i0+i+1)*outFeat], hw, prod[i*hw:], cols, hw, bias)
 		}
 	}
 	return out

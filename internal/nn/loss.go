@@ -86,7 +86,7 @@ func (l *MSELoss) Forward(pred, target *tensor.Tensor) float64 {
 	tensor.Sub(l.diff, pred, target)
 	s := 0.0
 	for _, d := range l.diff.Data {
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(pred.Len())
 }

@@ -5,14 +5,6 @@ import (
 	"math"
 )
 
-// Add computes dst = a + b elementwise. dst may alias a or b.
-func Add(dst, a, b *Tensor) {
-	checkSameLen("Add", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
 // Sub computes dst = a - b elementwise.
 func Sub(dst, a, b *Tensor) {
 	checkSameLen("Sub", dst, a, b)
@@ -59,30 +51,6 @@ func Apply(dst, a *Tensor, f func(float64) float64) {
 	checkSameLen("Apply", dst, a)
 	for i := range dst.Data {
 		dst.Data[i] = f(a.Data[i])
-	}
-}
-
-// ReLU computes dst = max(a, 0).
-func ReLU(dst, a *Tensor) {
-	checkSameLen("ReLU", dst, a)
-	for i, v := range a.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
-}
-
-// ReLUBackward computes dst = grad where x > 0, else 0.
-func ReLUBackward(dst, grad, x *Tensor) {
-	checkSameLen("ReLUBackward", dst, grad, x)
-	for i := range dst.Data {
-		if x.Data[i] > 0 {
-			dst.Data[i] = grad.Data[i]
-		} else {
-			dst.Data[i] = 0
-		}
 	}
 }
 
